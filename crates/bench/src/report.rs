@@ -29,8 +29,9 @@ pub const REPORT: Schema = Schema::new("report", 1);
 pub const OPTIM: Schema = Schema::new("optim", 1);
 /// Fault-campaign reports (`BENCH_chaos.json`).
 pub const CHAOS: Schema = Schema::new("chaos", 1);
-/// Engine-throughput reports (`BENCH_sim.json`).
-pub const SIM: Schema = Schema::new("sim", 1);
+/// Simulator-throughput reports (`BENCH_sim.json`). Version 2 reports one
+/// engine's `cycles_per_sec` per workload.
+pub const SIM: Schema = Schema::new("sim", 2);
 /// Fleet service benchmark reports (`BENCH_fleet.json`). Version 2 adds
 /// the churn chaos campaign and the `FleetHealth` snapshots.
 pub const FLEET: Schema = Schema::new("fleet", 2);

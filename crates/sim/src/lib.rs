@@ -28,7 +28,7 @@
 //! A heterogeneous quad-core: two timed cores, two MSI cores, all coherent.
 //!
 //! ```
-//! use cohort_sim::{SimConfig, Simulator};
+//! use cohort_sim::{SimBuilder, SimConfig};
 //! use cohort_trace::micro;
 //! use cohort_types::TimerValue;
 //!
@@ -39,7 +39,7 @@
 //!     .timer(3, TimerValue::MSI)
 //!     .build()?;
 //! let workload = micro::ping_pong(4, 8);
-//! let mut sim = Simulator::new(config, &workload)?;
+//! let mut sim = SimBuilder::new(config, &workload).build()?;
 //! let stats = sim.run()?;
 //! assert!(stats.cores.iter().all(|c| c.accesses() == 8));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -79,10 +79,6 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 pub use invariant::{InvariantKind, InvariantProbe, InvariantViolation};
 pub use metrics::{CoreMetrics, LatencyHistogram, MetricsProbe, MetricsReport};
 pub use probe::{BusTenure, NoProbe, SimProbe, TenureKind};
-pub use sched::{
-    compare_engines, diff_event_logs, CycleRoundEngine, Engine, EngineComparison, EngineDivergence,
-    EngineKind, EventDrivenEngine,
-};
 pub use stats::{CoreStats, SimStats};
 pub use timeline::{render_timeline, TimelineOptions};
 pub use timer::{release_time, CountdownCounter};
