@@ -21,12 +21,12 @@
 //! # Examples
 //!
 //! ```
-//! use cohort_sim::{ChromeTraceProbe, SimConfig, Simulator};
+//! use cohort_sim::{ChromeTraceProbe, SimBuilder, SimConfig};
 //! use cohort_trace::micro;
 //!
 //! let config = SimConfig::builder(2).build()?;
 //! let mut probe = ChromeTraceProbe::new();
-//! let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 4), &mut probe)?;
+//! let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 4)).probe(&mut probe).build()?;
 //! sim.run()?;
 //! let json = probe.to_json();
 //! assert!(json.get("traceEvents").and_then(|v| v.as_array()).is_some());

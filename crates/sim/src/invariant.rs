@@ -33,12 +33,12 @@
 //! # Examples
 //!
 //! ```
-//! use cohort_sim::{InvariantProbe, SimConfig, Simulator};
+//! use cohort_sim::{InvariantProbe, SimBuilder, SimConfig};
 //! use cohort_trace::micro;
 //! use cohort_types::TimerValue;
 //!
 //! let config = SimConfig::builder(2).timer(0, TimerValue::timed(20)?).build()?;
-//! let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 6), InvariantProbe::new())?;
+//! let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 6)).probe(InvariantProbe::new()).build()?;
 //! sim.run()?;
 //! assert!(sim.probe().is_clean(), "{:?}", sim.probe().violations());
 //! # Ok::<(), Box<dyn std::error::Error>>(())

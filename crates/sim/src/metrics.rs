@@ -20,13 +20,13 @@
 //! # Examples
 //!
 //! ```
-//! use cohort_sim::{MetricsProbe, SimConfig, Simulator};
+//! use cohort_sim::{MetricsProbe, SimBuilder, SimConfig};
 //! use cohort_trace::micro;
 //! use cohort_types::TimerValue;
 //!
 //! let config = SimConfig::builder(2).timer(0, TimerValue::timed(30)?).build()?;
 //! let mut probe = MetricsProbe::new();
-//! let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 6), &mut probe)?;
+//! let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 6)).probe(&mut probe).build()?;
 //! let stats = sim.run()?;
 //! let report = probe.report();
 //! assert_eq!(report.cores[0].latency.count(), stats.cores[0].accesses());

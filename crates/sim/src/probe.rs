@@ -21,7 +21,7 @@
 //! Counting protocol events with a custom probe:
 //!
 //! ```
-//! use cohort_sim::{EventKind, SimConfig, SimProbe, Simulator};
+//! use cohort_sim::{EventKind, SimBuilder, SimConfig, SimProbe};
 //! use cohort_trace::micro;
 //! use cohort_types::Cycles;
 //!
@@ -38,7 +38,7 @@
 //!
 //! let config = SimConfig::builder(2).build()?;
 //! let mut probe = HitCounter::default();
-//! let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 4), &mut probe)?;
+//! let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 4)).probe(&mut probe).build()?;
 //! let stats = sim.run()?;
 //! assert_eq!(probe.0, stats.total_hits());
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -87,13 +87,13 @@ pub struct WcmlViolation {
 /// # Examples
 ///
 /// ```
-/// use cohort_sim::{SimConfig, Simulator, WcmlGuard};
+/// use cohort_sim::{SimBuilder, SimConfig, WcmlGuard};
 /// use cohort_trace::micro;
 /// use cohort_types::TimerValue;
 ///
 /// let config = SimConfig::builder(2).timers(vec![TimerValue::timed(100)?; 2]).build()?;
 /// let mut guard = WcmlGuard::new();
-/// let mut sim = Simulator::with_probe(config, &micro::ping_pong(2, 8), &mut guard)?;
+/// let mut sim = SimBuilder::new(config, &micro::ping_pong(2, 8)).probe(&mut guard).build()?;
 /// sim.run()?;
 /// assert!(guard.violations().is_empty(), "a clean run stays inside Eq. 1");
 /// # Ok::<(), Box<dyn std::error::Error>>(())

@@ -1,7 +1,7 @@
 //! Targeted edge cases of the coherence engine: upgrade races, eviction of
 //! contested lines, GetS chains, and priority-queue displacement.
 
-use cohort_sim::{EventKind, EventLogProbe, InvalidateCause, SimConfig, Simulator};
+use cohort_sim::{EventKind, EventLogProbe, InvalidateCause, SimBuilder, SimConfig, Simulator};
 use cohort_trace::{Trace, TraceOp, Workload};
 use cohort_types::{Cycles, TimerValue};
 
@@ -10,7 +10,7 @@ fn timed(theta: u64) -> TimerValue {
 }
 
 fn run_logged(config: SimConfig, w: &Workload) -> Simulator<EventLogProbe> {
-    let mut sim = Simulator::with_probe(config, w, EventLogProbe::new()).unwrap();
+    let mut sim = SimBuilder::new(config, w).probe(EventLogProbe::new()).build().unwrap();
     sim.run().unwrap();
     sim.validate_coherence().unwrap();
     sim

@@ -2,8 +2,8 @@
 //! from the paper's latencies (hit 1, request 4, data 50, SW = 54).
 
 use cohort_sim::{
-    ArbiterKind, CacheGeometry, DataPath, EventKind, EventLogProbe, LlcModel, SimConfig, SimStats,
-    Simulator,
+    ArbiterKind, CacheGeometry, DataPath, EventKind, EventLogProbe, LlcModel, SimBuilder,
+    SimConfig, SimStats,
 };
 use cohort_trace::{micro, Trace, TraceOp, Workload};
 use cohort_types::{Cycles, TimerValue};
@@ -13,7 +13,7 @@ fn timed(theta: u64) -> TimerValue {
 }
 
 fn run(config: SimConfig, workload: &Workload) -> SimStats {
-    let mut sim = Simulator::new(config, workload).expect("valid setup");
+    let mut sim = SimBuilder::new(config, workload).build().expect("valid setup");
     let stats = sim.run().expect("run completes");
     sim.validate_coherence().expect("coherence invariants hold at the end");
     stats
@@ -152,7 +152,7 @@ fn rrof_example_operation_figure4() {
         .build()
         .unwrap();
     let w = micro::figure4();
-    let mut sim = Simulator::with_probe(config, &w, EventLogProbe::new()).unwrap();
+    let mut sim = SimBuilder::new(config, &w).probe(EventLogProbe::new()).build().unwrap();
     sim.run().unwrap();
     // Fill order must follow the RROF broadcast order: c0, c1, c2, c3.
     let fills: Vec<usize> = sim
@@ -282,7 +282,7 @@ fn mid_run_timer_switch_changes_behaviour() {
     assert!(no_switch.cores[1].worst_request.get() > 50_000);
 
     // With the switch, the hand-over happens shortly after cycle 200.
-    let mut sim = Simulator::new(config, &w).unwrap();
+    let mut sim = SimBuilder::new(config, &w).build().unwrap();
     sim.schedule_timer_switch(Cycles::new(200), vec![TimerValue::MSI; 2]).unwrap();
     let switched = sim.run().unwrap();
     assert!(
@@ -295,7 +295,7 @@ fn mid_run_timer_switch_changes_behaviour() {
 #[test]
 fn switch_scheduling_validation() {
     let w = micro::ping_pong(2, 1);
-    let mut sim = Simulator::new(SimConfig::builder(2).build().unwrap(), &w).unwrap();
+    let mut sim = SimBuilder::new(SimConfig::builder(2).build().unwrap(), &w).build().unwrap();
     assert!(sim.schedule_timer_switch(Cycles::new(10), vec![TimerValue::MSI]).is_err());
     sim.run().unwrap();
     let past = sim.now().saturating_sub(Cycles::new(1));
@@ -377,7 +377,7 @@ fn fcfs_serves_oldest_requests_first() {
 #[test]
 fn workload_core_count_must_match() {
     let w = micro::ping_pong(2, 1);
-    assert!(Simulator::new(SimConfig::builder(3).build().unwrap(), &w).is_err());
+    assert!(SimBuilder::new(SimConfig::builder(3).build().unwrap(), &w).build().is_err());
 }
 
 #[test]
@@ -386,7 +386,7 @@ fn run_until_stops_at_the_deadline_and_resumes() {
     // the state machine must be pause-safe (used by mode-switch drivers).
     let w = micro::random_shared(2, 16, 200, 0.5, 7);
     let config = SimConfig::builder(2).timers(vec![timed(30); 2]).build().unwrap();
-    let mut paused = Simulator::new(config.clone(), &w).unwrap();
+    let mut paused = SimBuilder::new(config.clone(), &w).build().unwrap();
     paused.run_until(Cycles::new(500)).unwrap();
     assert!(paused.now() <= Cycles::new(500));
     assert!(!paused.is_finished());
@@ -418,7 +418,7 @@ fn raising_theta_mid_countdown_cannot_reprotect_the_line() {
     let c1 = Trace::from_ops(vec![TraceOp::store(0).after(40)]);
     let w = Workload::new("reload", vec![c0, c1]).unwrap();
     let config = SimConfig::builder(2).timer(0, timed(500)).build().unwrap();
-    let mut sim = Simulator::new(config, &w).unwrap();
+    let mut sim = SimBuilder::new(config, &w).build().unwrap();
     sim.schedule_timer_switch(Cycles::new(300), vec![timed(60_000), TimerValue::MSI]).unwrap();
     let stats = sim.run().unwrap();
     assert!(
@@ -428,7 +428,7 @@ fn raising_theta_mid_countdown_cannot_reprotect_the_line() {
     );
     // And the converse: switching the register to −1 releases immediately.
     let config = SimConfig::builder(2).timer(0, timed(60_000)).build().unwrap();
-    let mut sim = Simulator::new(config, &w).unwrap();
+    let mut sim = SimBuilder::new(config, &w).build().unwrap();
     sim.schedule_timer_switch(Cycles::new(200), vec![TimerValue::MSI; 2]).unwrap();
     let stats = sim.run().unwrap();
     assert!(

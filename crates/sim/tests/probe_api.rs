@@ -2,7 +2,7 @@
 //! no-op probe changes nothing, the built-in probes agree with the
 //! engine's own statistics, and the Chrome-trace export is well-formed.
 
-use cohort_sim::{ChromeTraceProbe, EventKind, EventLogProbe, MetricsProbe, SimConfig, Simulator};
+use cohort_sim::{ChromeTraceProbe, EventKind, EventLogProbe, MetricsProbe, SimBuilder, SimConfig};
 use cohort_trace::{micro, Workload};
 use cohort_types::TimerValue;
 
@@ -27,14 +27,14 @@ fn contended_workload() -> Workload {
 
 #[test]
 fn noop_probe_run_is_identical_to_default_run() {
-    // `Simulator::new` (NoProbe) and a probe-instrumented run must produce
+    // A probe-free build (NoProbe) and a probe-instrumented run must produce
     // bit-identical statistics: probes observe, they never perturb.
     let w = contended_workload();
-    let mut plain = Simulator::new(cohort_config(), &w).unwrap();
+    let mut plain = SimBuilder::new(cohort_config(), &w).build().unwrap();
     let plain_stats = plain.run().unwrap();
 
     let probe = (MetricsProbe::new(), EventLogProbe::new());
-    let mut observed = Simulator::with_probe(cohort_config(), &w, probe).unwrap();
+    let mut observed = SimBuilder::new(cohort_config(), &w).probe(probe).build().unwrap();
     let observed_stats = observed.run().unwrap();
 
     assert_eq!(plain_stats, observed_stats, "probes must not perturb the simulation");
@@ -45,7 +45,8 @@ fn event_stream_matches_between_probe_instances() {
     // Two separately-probed runs of the same config see the same stream.
     let w = contended_workload();
     let run = || {
-        let mut sim = Simulator::with_probe(cohort_config(), &w, EventLogProbe::new()).unwrap();
+        let mut sim =
+            SimBuilder::new(cohort_config(), &w).probe(EventLogProbe::new()).build().unwrap();
         sim.run().unwrap();
         sim.into_probe().into_events()
     };
@@ -55,13 +56,14 @@ fn event_stream_matches_between_probe_instances() {
 #[test]
 fn event_log_ring_buffer_keeps_the_most_recent_events() {
     let w = contended_workload();
-    let mut full_sim = Simulator::with_probe(cohort_config(), &w, EventLogProbe::new()).unwrap();
+    let mut full_sim =
+        SimBuilder::new(cohort_config(), &w).probe(EventLogProbe::new()).build().unwrap();
     full_sim.run().unwrap();
     let full = full_sim.into_probe();
 
     let cap = 64;
     let ring_probe = EventLogProbe::with_capacity(cap);
-    let mut ring_sim = Simulator::with_probe(cohort_config(), &w, ring_probe).unwrap();
+    let mut ring_sim = SimBuilder::new(cohort_config(), &w).probe(ring_probe).build().unwrap();
     ring_sim.run().unwrap();
     let ring = ring_sim.into_probe();
 
@@ -74,7 +76,7 @@ fn event_log_ring_buffer_keeps_the_most_recent_events() {
 #[test]
 fn histogram_counts_sum_to_core_accesses() {
     let w = contended_workload();
-    let mut sim = Simulator::with_probe(cohort_config(), &w, MetricsProbe::new()).unwrap();
+    let mut sim = SimBuilder::new(cohort_config(), &w).probe(MetricsProbe::new()).build().unwrap();
     let stats = sim.run().unwrap();
     let report = sim.into_probe().into_report();
 
@@ -95,7 +97,7 @@ fn histogram_counts_sum_to_core_accesses() {
 #[test]
 fn metrics_quantiles_are_ordered_and_bounded_by_max() {
     let w = contended_workload();
-    let mut sim = Simulator::with_probe(cohort_config(), &w, MetricsProbe::new()).unwrap();
+    let mut sim = SimBuilder::new(cohort_config(), &w).probe(MetricsProbe::new()).build().unwrap();
     sim.run().unwrap();
     let report = sim.into_probe().into_report();
     for metrics in &report.cores {
@@ -111,7 +113,7 @@ fn eq1_bound_is_attached_and_respected_on_analysable_configs() {
     // analysable operating point, so the probe computes Eq. 1 bounds and
     // no observed latency may exceed them.
     let w = contended_workload();
-    let mut sim = Simulator::with_probe(cohort_config(), &w, MetricsProbe::new()).unwrap();
+    let mut sim = SimBuilder::new(cohort_config(), &w).probe(MetricsProbe::new()).build().unwrap();
     sim.run().unwrap();
     let report = sim.into_probe().into_report();
     for (core, metrics) in report.cores.iter().enumerate() {
@@ -128,7 +130,7 @@ fn eq1_bound_is_attached_and_respected_on_analysable_configs() {
 #[test]
 fn bus_utilisation_is_a_fraction_and_busy_splits_per_core() {
     let w = contended_workload();
-    let mut sim = Simulator::with_probe(cohort_config(), &w, MetricsProbe::new()).unwrap();
+    let mut sim = SimBuilder::new(cohort_config(), &w).probe(MetricsProbe::new()).build().unwrap();
     sim.run().unwrap();
     let report = sim.into_probe().into_report();
     let util = report.bus_utilisation();
@@ -141,7 +143,7 @@ fn bus_utilisation_is_a_fraction_and_busy_splits_per_core() {
 #[test]
 fn metrics_report_json_is_schema_shaped() {
     let w = contended_workload();
-    let mut sim = Simulator::with_probe(cohort_config(), &w, MetricsProbe::new()).unwrap();
+    let mut sim = SimBuilder::new(cohort_config(), &w).probe(MetricsProbe::new()).build().unwrap();
     sim.run().unwrap();
     let json = sim.into_probe().into_report().to_json();
     assert!(json.get("cycles").and_then(serde_json::Value::as_u64).is_some());
@@ -162,7 +164,7 @@ fn chrome_trace_is_valid_json_with_balanced_pairs() {
     // track, and the whole artifact parses back from its serialized form.
     let w = contended_workload();
     let probe = (ChromeTraceProbe::new(), EventLogProbe::new());
-    let mut sim = Simulator::with_probe(cohort_config(), &w, probe).unwrap();
+    let mut sim = SimBuilder::new(cohort_config(), &w).probe(probe).build().unwrap();
     let stats = sim.run().unwrap();
     let (chrome, log) = sim.into_probe();
 
@@ -199,7 +201,8 @@ fn chrome_trace_is_valid_json_with_balanced_pairs() {
 #[test]
 fn chrome_trace_has_one_track_per_core_plus_bus_and_llc() {
     let w = contended_workload();
-    let mut sim = Simulator::with_probe(cohort_config(), &w, ChromeTraceProbe::new()).unwrap();
+    let mut sim =
+        SimBuilder::new(cohort_config(), &w).probe(ChromeTraceProbe::new()).build().unwrap();
     sim.run().unwrap();
     let json = sim.into_probe().to_json();
     let events = json.get("traceEvents").and_then(|v| v.as_array()).unwrap();
@@ -218,7 +221,7 @@ fn mode_switch_lands_in_metrics_and_trace() {
     let w = micro::ping_pong(2, 30);
     let config = SimConfig::builder(2).timer(0, timed(40)).timer(1, timed(40)).build().unwrap();
     let probe = (MetricsProbe::new(), ChromeTraceProbe::new());
-    let mut sim = Simulator::with_probe(config, &w, probe).unwrap();
+    let mut sim = SimBuilder::new(config, &w).probe(probe).build().unwrap();
     sim.schedule_timer_switch(cohort_types::Cycles::new(100), vec![TimerValue::MSI; 2]).unwrap();
     sim.run().unwrap();
     let (metrics, chrome) = sim.into_probe();

@@ -68,7 +68,7 @@ proptest! {
             .data_path(if via_llc { DataPath::ViaSharedMemory } else { DataPath::CacheToCache })
             .build()
             .expect("valid config");
-        let mut sim = Simulator::new(config, &workload).expect("valid sim");
+        let mut sim = SimBuilder::new(config, &workload).build().expect("valid sim");
         let stats = sim.run().expect("no deadlock");
         sim.validate_coherence().expect("invariants hold");
         for (core, trace) in stats.cores.iter().zip(workload.traces()) {
@@ -87,7 +87,7 @@ proptest! {
         let config = SimConfig::builder(4).timers(timers.clone()).build().expect("valid");
         let sw = config.latency().slot_width().get();
         let n = 4u64;
-        let mut sim = Simulator::new(config, &workload).expect("valid sim");
+        let mut sim = SimBuilder::new(config, &workload).build().expect("valid sim");
         let stats = sim.run().expect("no deadlock");
         for i in 0..4 {
             // Eq. 1: SW + (N−1)·SW + Σ_{j≠i, θ_j ≥ 0} (θ_j + SW).
@@ -111,8 +111,8 @@ proptest! {
         timers in proptest::collection::vec(timer_strategy(), 2),
     ) {
         let config = SimConfig::builder(2).timers(timers).build().expect("valid");
-        let a = Simulator::new(config.clone(), &workload).expect("sim").run().expect("ok");
-        let b = Simulator::new(config, &workload).expect("sim").run().expect("ok");
+        let a = SimBuilder::new(config.clone(), &workload).build().expect("sim").run().expect("ok");
+        let b = SimBuilder::new(config, &workload).build().expect("sim").run().expect("ok");
         prop_assert_eq!(a, b);
     }
 
@@ -128,7 +128,7 @@ proptest! {
             .timers(vec![TimerValue::timed(theta).expect("small"); 3])
             .build()
             .expect("valid");
-        let mut sim = Simulator::new(config, &workload).expect("sim");
+        let mut sim = SimBuilder::new(config, &workload).build().expect("sim");
         sim.schedule_timer_switch(Cycles::new(switch_at), vec![TimerValue::MSI; 3])
             .expect("future switch");
         let stats = sim.run().expect("no deadlock");
@@ -155,7 +155,7 @@ proptest! {
                 .timer(0, TimerValue::timed(theta).expect("small"))
                 .build()
                 .expect("valid");
-            Simulator::new(config, &workload).expect("sim").run().expect("ok").cores[0].hits
+            SimBuilder::new(config, &workload).build().expect("sim").run().expect("ok").cores[0].hits
         };
         prop_assert!(run(small + extra) >= run(small));
     }
