@@ -23,12 +23,11 @@
 //!   bit-identically to the uninterrupted run.
 
 use std::collections::HashMap; // lint:allow(det-unordered) the fitness memo and pending-index are lookup-only; the only iteration (checkpointing) sorts by genes first
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use cohort_types::{Error, Result};
+use cohort_types::{pool, Error, Result};
 
 use crate::checkpoint::GaCheckpoint;
 use crate::observer::{GaObserver, GenerationReport};
@@ -187,7 +186,7 @@ impl GaConfig {
     #[must_use]
     pub fn resolved_workers(&self) -> usize {
         if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            pool::default_workers()
         } else {
             self.workers
         }
@@ -644,29 +643,7 @@ impl GeneticAlgorithm {
         if workers <= 1 {
             return genomes.iter().map(|g| fitness(g)).collect();
         }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<f64>> = vec![None; genomes.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(genes) = genomes.get(index) else { break };
-                            local.push((index, fitness(genes)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, value) in handle.join().expect("fitness evaluation panicked") {
-                    slots[index] = Some(value);
-                }
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every genome evaluated exactly once")).collect()
+        pool::run_indexed(genomes, workers, |_, genes| fitness(genes))
     }
 
     fn tournament(&self, population: &[Individual], rng: &mut ChaCha8Rng) -> usize {

@@ -13,6 +13,7 @@
 //!   ([`LatencyConfig`]),
 //! - the fleet coordination vocabulary ([`Fingerprint`] content-addresses,
 //!   claim [`Epoch`]s and [`WorkerId`]s),
+//! - the bounded scoped worker [`pool`] the sweep and the GA share,
 //! - and a common error type ([`Error`]).
 //!
 //! # Examples
@@ -45,6 +46,7 @@ mod error;
 mod fleet;
 mod ids;
 mod latency;
+pub mod pool;
 mod task;
 mod time;
 mod timer;
