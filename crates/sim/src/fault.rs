@@ -311,9 +311,8 @@ impl FaultState {
     }
 
     /// `true` when some unfired step fault is armed at or before `now`.
-    /// The legacy loop attempts these at every instant it visits, so the
-    /// event engine must attempt them at every instant the legacy scan
-    /// would visit.
+    /// The engine then attempts them at every real instant until they
+    /// land (see the visited-instant rule in the `sched` module docs).
     pub(crate) fn has_due_step_fault(&self, now: Cycles) -> bool {
         self.plan.specs.iter().zip(&self.fired).any(|(s, &fired)| {
             !fired
