@@ -5,6 +5,14 @@
 //! anchor's expiry boundaries maximizes the chance of stealing a line the
 //! analysis still counts as a guaranteed hit. Soundness requires the total
 //! measured WCML to stay under the Eq. 2 bound regardless.
+//!
+//! Exits non-zero if any seed's measurement exceeds its bound:
+//!
+//! ```text
+//! cargo run --release -p cohort-analysis --example anchor_divergence_fuzz
+//! ```
+use std::process::ExitCode;
+
 use cohort_analysis::analyze_cohort;
 use cohort_sim::{CacheGeometry, LlcModel, SimBuilder, SimConfig};
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
@@ -12,7 +20,7 @@ use cohort_types::{Cycles, LatencyConfig, LineAddr, TimerValue};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
+fn main() -> ExitCode {
     let lat = LatencyConfig::paper();
     let mut violations = 0u64;
     let mut worst_margin = f64::MAX;
@@ -92,11 +100,16 @@ fn main() {
                 bounds[0].hits, stats.cores[0].hits
             );
             if violations > 5 {
-                return;
+                break;
             }
         } else if bound > 0 {
             worst_margin = worst_margin.min((bound - measured) as f64 / bound as f64);
         }
     }
     println!("violations: {violations}; tightest margin {worst_margin:.4}");
+    if violations == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -1,13 +1,12 @@
 //! Memoized analysis results, shared across threads.
 //!
 //! The guaranteed-hit analysis walks the whole trace per (θ, latency)
-//! query, and the workloads that drive the GA and the batch sweeps ask for
-//! the same curves over and over: every GA generation re-evaluates
-//! candidate timers against the same traces, every protocol sweep re-runs
-//! the θ-saturation search for the same kernels, and parallel sweep
-//! workers repeat each other's work. [`AnalysisCache`] memoizes both
-//! queries behind `RwLock`ed maps — lookups take the read lock only, so
-//! concurrent sweep workers share results without serialising on hits.
+//! query, and the GA asks for the same curves over and over: every
+//! generation re-evaluates candidate timers against the same traces, and
+//! every θ-saturation search probes the same kernels. [`AnalysisCache`]
+//! memoizes both queries behind `RwLock`ed maps — lookups take the read
+//! lock only, so concurrent GA workers share results without serialising
+//! on hits.
 //!
 //! Keys are *content* keys: the trace enters as its 128-bit
 //! [`Trace::fingerprint`], alongside the timer, cache geometry and the two
@@ -16,8 +15,15 @@
 //! and the memoized results are bit-identical to the uncached analysis by
 //! construction (the cached value *is* the uncached function's output).
 //!
-//! A process-wide instance is available through [`analysis_cache`]; the
-//! optimization engine and `analyze_cohort` route through it by default.
+//! A key is only cheap when its fingerprint is: [`Trace::fingerprint`]
+//! hashes every byte of the trace and costs several walks of the flat
+//! guaranteed-hit kernel. The memo therefore pays off for callers that
+//! fingerprint a trace once and query it many times — the optimization
+//! engine's `TimerProblem` precomputes its fingerprints and uses the `_fp`
+//! entry points. One-off queries such as `analyze_cohort`'s walk the trace
+//! directly instead.
+//!
+//! A process-wide instance is available through [`analysis_cache`].
 
 use std::collections::HashMap; // lint:allow(det-unordered) geometry-keyed memo of pure analysis results; lookup-only, never iterated
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,9 +108,10 @@ impl AnalysisCache {
 
     /// Memoized [`guaranteed_hits`]: identical signature, identical result.
     ///
-    /// Fingerprints the trace on every call; when the caller queries the
-    /// same trace many times (GA fitness loops), precompute the
-    /// fingerprint once and use [`Self::guaranteed_hits_fp`].
+    /// Fingerprints the trace on every call, which costs more than the
+    /// walk itself; when the caller queries the same trace many times (GA
+    /// fitness loops), precompute the fingerprint once and use
+    /// [`Self::guaranteed_hits_fp`].
     #[must_use]
     pub fn guaranteed_hits(
         &self,
@@ -234,11 +241,11 @@ impl AnalysisCache {
 
 /// The process-wide analysis cache.
 ///
-/// Shared by the optimization engine's fitness evaluations, the whole-
-/// system analyses and every batch-sweep worker; entries live for the
-/// process lifetime (bounded in practice by the handful of traces ×
-/// probed θ values a run touches). Call [`AnalysisCache::clear`] to drop
-/// them, e.g. between unrelated benchmark phases.
+/// Shared by the optimization engine's fitness evaluations and θ_sat
+/// searches across threads; entries live for the process lifetime
+/// (bounded in practice by the handful of traces × probed θ values a run
+/// touches). Call [`AnalysisCache::clear`] to drop them, e.g. between
+/// unrelated benchmark phases.
 #[must_use]
 pub fn analysis_cache() -> &'static AnalysisCache {
     static CACHE: OnceLock<AnalysisCache> = OnceLock::new();

@@ -15,6 +15,21 @@
 //! misses — using the *maximal* miss penalty is conservative: real
 //! executions run earlier accesses sooner, keeping them inside the window.
 //!
+//! ## The walk kernel
+//!
+//! Every GA fitness evaluation, θ_sat probe and CoHoRT bound runs this
+//! walk, so it models the L1 with one flat `Vec` of `sets × ways` slots
+//! rather than the simulator's general cache structures. A slot holds the
+//! line's tag, its fill instant, whether the fill granted write permission
+//! and an explicit valid bit (no line address doubles as "empty"). Each
+//! set's ways are kept MRU-first, and the set index is a mask on the
+//! power-of-two set counts every validated geometry has. Way 0 is checked
+//! first, so on the paper's direct-mapped L1 a guaranteed hit touches
+//! nothing but its own slot. With more ways a hit rotates the found way to
+//! the front and a refill of an absent line overwrites the last (LRU) way
+//! after rotating it there — exactly the simulator's LRU order, which the
+//! unit tests check against a walk over `cohort_sim::SetAssocCache`.
+//!
 //! ## The re-anchoring subtlety
 //!
 //! When the analysis declares a miss (window expired), it re-anchors the
@@ -28,10 +43,11 @@
 //! displaces re-synchronises the real anchor, so real misses never
 //! outnumber analysis misses. The claim is enforced empirically by the
 //! `anchor_divergence_fuzz` example (tens of thousands of adversarial
-//! schedules phased against the window boundaries) on top of the general
-//! soundness property tests.
+//! schedules phased against the window boundaries, direct-mapped and
+//! 2-way; CI fails on any violation) on top of the general soundness
+//! property tests.
 
-use cohort_sim::{CacheGeometry, SetAssocCache};
+use cohort_sim::CacheGeometry;
 use cohort_trace::Trace;
 use cohort_types::{Cycles, TimerValue};
 
@@ -52,12 +68,24 @@ impl HitMissCounts {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ModelLine {
+/// One way of the walk's model L1.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Raw line address held by the way (meaningful only when `valid`).
+    tag: u64,
     /// Virtual fill instant (window anchor).
-    fill: Cycles,
+    fill: u64,
+    /// Whether the way holds a line at all; kept apart from `tag` so no
+    /// line address can double as an "empty" sentinel.
+    valid: bool,
     /// Whether the fill granted write permission.
     modified: bool,
+}
+
+impl Slot {
+    fn holds(&self, tag: u64) -> bool {
+        self.valid && self.tag == tag
+    }
 }
 
 /// Computes the guaranteed hits and misses of `trace` on a core with timer
@@ -102,27 +130,74 @@ pub fn guaranteed_hits(
         // MSI (or a zero window): no guaranteed hits.
         return HitMissCounts { hits: 0, misses: trace.len() as u64 };
     };
-    let mut cache: SetAssocCache<ModelLine> = SetAssocCache::new(*geometry);
-    let mut counts = HitMissCounts::default();
-    let mut now = Cycles::ZERO;
-    for op in trace {
-        now += op.gap;
-        let in_window = cache
-            .peek(op.line)
-            .map(|l| (now.get() - l.fill.get()) < theta && (!op.kind.is_store() || l.modified));
-        if let Some(true) = in_window {
-            counts.hits += 1;
-            cache.touch(op.line);
-            now += hit_latency;
-        } else {
-            counts.misses += 1;
-            now += miss_penalty;
-            // Refill: a fresh window anchored at the (worst-case)
-            // completion instant, with the permission the request gains.
-            cache.insert(op.line, ModelLine { fill: now, modified: op.kind.is_store() });
+    let walk = Walk {
+        theta,
+        ways: geometry.ways as usize,
+        hit_latency: hit_latency.get(),
+        miss_penalty: miss_penalty.get(),
+    };
+    let sets = geometry.sets();
+    let hits = if sets.is_power_of_two() {
+        walk.run(trace, sets, |tag| tag & (sets - 1))
+    } else {
+        walk.run(trace, sets, |tag| tag % sets)
+    };
+    HitMissCounts { hits, misses: trace.len() as u64 - hits }
+}
+
+/// The guaranteed-hit walk's parameters, fixed for one trace walk.
+struct Walk {
+    theta: u64,
+    ways: usize,
+    hit_latency: u64,
+    miss_penalty: u64,
+}
+
+impl Walk {
+    /// Walks `trace` over `sets × ways` slots, returning the guaranteed
+    /// hits; `set_of` maps a line to its set (a mask on power-of-two set
+    /// counts, so the hot loop never divides).
+    fn run(&self, trace: &Trace, sets: u64, set_of: impl Fn(u64) -> u64) -> u64 {
+        let ways = self.ways;
+        // Each set's ways MRU-first; empty ways trail the valid ones, so
+        // the last way is always the LRU (or an empty) one.
+        let mut slots = vec![Slot::default(); sets as usize * ways];
+        let mut hits = 0u64;
+        let mut now = 0u64;
+        for op in trace {
+            now += op.gap.get();
+            let (tag, store) = (op.line.raw(), op.kind.is_store());
+            let set = &mut slots[set_of(tag) as usize * ways..][..ways];
+            // Way 0 first: on a direct-mapped L1 it is the only way.
+            let way = if set[0].holds(tag) {
+                Some(0)
+            } else {
+                set[1..].iter().position(|s| s.holds(tag)).map(|w| w + 1)
+            };
+            let guaranteed = way.is_some_and(|w| {
+                let slot = &set[w];
+                now - slot.fill < self.theta && (slot.modified || !store)
+            });
+            // Promote the found way to MRU; a miss on an absent line
+            // rotates the LRU way to the front, where the refill
+            // overwrites it.
+            let w = way.unwrap_or(ways - 1);
+            if w > 0 {
+                set[..=w].rotate_right(1);
+            }
+            if guaranteed {
+                hits += 1;
+                now += self.hit_latency;
+            } else {
+                now += self.miss_penalty;
+                // Refill: a fresh window anchored at the (worst-case)
+                // completion instant, with the permission the request
+                // gains.
+                set[0] = Slot { tag, fill: now, valid: true, modified: store };
+            }
         }
+        hits
     }
-    counts
 }
 
 /// Finds the timer saturation value `θ_sat`: the smallest θ at which the
@@ -192,7 +267,9 @@ pub(crate) fn saturation_search(mut hits_at: impl FnMut(u64) -> u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cohort_trace::TraceOp;
+    use cohort_sim::SetAssocCache;
+    use cohort_trace::{AccessKind, Kernel, KernelSpec, TraceOp};
+    use cohort_types::LineAddr;
 
     const L1: CacheGeometry = CacheGeometry::paper_l1();
     const HIT: Cycles = Cycles::new(1);
@@ -295,5 +372,153 @@ mod tests {
         let fast = guaranteed_hits(trace, timed(200), &L1, HIT, Cycles::new(54)).hits;
         let slow = guaranteed_hits(trace, timed(200), &L1, HIT, Cycles::new(500)).hits;
         assert!(slow <= fast, "a larger miss penalty stretches the timeline");
+    }
+
+    /// The walk as it was before the flat-slot kernel: the simulator's
+    /// generic LRU cache model, kept as the kernel's oracle.
+    fn oracle_hits(
+        trace: &Trace,
+        timer: TimerValue,
+        geometry: &CacheGeometry,
+        hit_latency: Cycles,
+        miss_penalty: Cycles,
+    ) -> HitMissCounts {
+        #[derive(Clone, Copy)]
+        struct ModelLine {
+            fill: Cycles,
+            modified: bool,
+        }
+        let Some(theta) = timer.theta().filter(|&t| t > 0) else {
+            return HitMissCounts { hits: 0, misses: trace.len() as u64 };
+        };
+        let mut cache: SetAssocCache<ModelLine> = SetAssocCache::new(*geometry);
+        let mut counts = HitMissCounts::default();
+        let mut now = Cycles::ZERO;
+        for op in trace {
+            now += op.gap;
+            let in_window = cache
+                .peek(op.line)
+                .map(|l| (now.get() - l.fill.get()) < theta && (!op.kind.is_store() || l.modified));
+            if let Some(true) = in_window {
+                counts.hits += 1;
+                cache.touch(op.line);
+                now += hit_latency;
+            } else {
+                counts.misses += 1;
+                now += miss_penalty;
+                cache.insert(op.line, ModelLine { fill: now, modified: op.kind.is_store() });
+            }
+        }
+        counts
+    }
+
+    /// splitmix64: a seeded stream for the equivalence loops.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A draw in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo + 1)
+        }
+    }
+
+    fn assert_matches_oracle(
+        seed: u64,
+        trace: &Trace,
+        timer: TimerValue,
+        geometry: &CacheGeometry,
+        penalty: Cycles,
+    ) {
+        let flat = guaranteed_hits(trace, timer, geometry, HIT, penalty);
+        let oracle = oracle_hits(trace, timer, geometry, HIT, penalty);
+        assert_eq!(
+            flat,
+            oracle,
+            "seed {seed}: flat walk diverges from the oracle (θ={timer:?}, {geometry:?}, \
+             penalty {penalty:?}, {} accesses)",
+            trace.len()
+        );
+    }
+
+    #[test]
+    fn flat_walk_matches_oracle_on_random_traces() {
+        for seed in 0..2_000u64 {
+            let mut rng = SplitMix64(seed);
+            let ways = [1, 2, 4, 8][rng.range(0, 3) as usize];
+            let sets = 1 << rng.range(0, 8);
+            let geometry = CacheGeometry::new(sets * 64 * ways, 64, ways).unwrap();
+            // Either a line space a few times the capacity, or one set's
+            // conflict chain (every line maps to the same set).
+            let one_set = rng.range(0, 3) == 0;
+            let (set, span) = (rng.range(0, sets - 1), rng.range(1, 3 * ways + 2));
+            let theta = rng.range(2, 300);
+            let trace = (0..rng.range(0, 400))
+                .map(|_| {
+                    let line = if rng.range(0, 50) == 0 {
+                        u64::MAX
+                    } else if one_set {
+                        set + sets * rng.range(0, span)
+                    } else {
+                        rng.range(0, 3 * sets * ways)
+                    };
+                    let kind =
+                        if rng.range(0, 2) == 0 { AccessKind::Store } else { AccessKind::Load };
+                    let gap = match rng.range(0, 3) {
+                        0 => rng.range(0, 4),
+                        1 => theta.saturating_sub(rng.range(0, 8)),
+                        _ => rng.range(0, 2 * theta),
+                    };
+                    TraceOp::new(LineAddr::new(line), kind, Cycles::new(gap))
+                })
+                .collect::<Trace>();
+            let timer = match rng.range(0, 5) {
+                0 => TimerValue::MSI,
+                1 => timed(0),
+                2 => timed(1),
+                3 => timed(TimerValue::MAX_THETA),
+                _ => timed(theta),
+            };
+            let penalty = Cycles::new(rng.range(1, 2_000));
+            assert_matches_oracle(seed, &trace, timer, &geometry, penalty);
+        }
+    }
+
+    #[test]
+    fn top_line_address_is_not_a_sentinel() {
+        // A first touch of the highest line must miss even though an
+        // empty way's tag could otherwise be mistaken for it.
+        let trace = Trace::from_ops(vec![
+            TraceOp::load(u64::MAX),
+            TraceOp::load(u64::MAX).after(1),
+            TraceOp::load(0).after(1),
+        ]);
+        for ways in [1, 2, 4, 8] {
+            let geometry = CacheGeometry::new(16 * 1024, 64, ways).unwrap();
+            let counts = guaranteed_hits(&trace, timed(100), &geometry, HIT, PENALTY);
+            assert_eq!(counts, HitMissCounts { hits: 1, misses: 2 }, "{ways}-way");
+            assert_matches_oracle(ways, &trace, timed(100), &geometry, PENALTY);
+        }
+    }
+
+    #[test]
+    fn flat_walk_matches_oracle_on_default_scale_kernels() {
+        for kernel in Kernel::ALL {
+            let w = KernelSpec::new(kernel, 4)
+                .with_total_requests(kernel.default_total_requests())
+                .generate();
+            for (seed, theta) in
+                [1u64, 20, 300, 4_096, TimerValue::MAX_THETA].into_iter().enumerate()
+            {
+                assert_matches_oracle(seed as u64, &w.traces()[0], timed(theta), &L1, PENALTY);
+            }
+        }
     }
 }

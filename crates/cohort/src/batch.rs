@@ -11,9 +11,8 @@
 //!
 //! Progress is observable through the [`SweepObserver`] hook (jobs
 //! started/finished, simulated cycles, bus utilisation, per-job wall
-//! time), and the per-trace analysis work inside the jobs is shared
-//! through `cohort-analysis`'s process-wide memo, so sweeping many timer
-//! configurations over the same kernels does not re-walk the traces.
+//! time). Each job's bound analysis walks its traces directly: a walk
+//! is cheaper than the content fingerprint a shared memo would key on.
 //!
 //! # Examples
 //!
