@@ -412,24 +412,6 @@ mod tests {
         counts
     }
 
-    /// splitmix64: a seeded stream for the equivalence loops.
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        /// A draw in `lo..=hi`.
-        fn range(&mut self, lo: u64, hi: u64) -> u64 {
-            lo + self.next() % (hi - lo + 1)
-        }
-    }
-
     fn assert_matches_oracle(
         seed: u64,
         trace: &Trace,
@@ -451,42 +433,42 @@ mod tests {
     #[test]
     fn flat_walk_matches_oracle_on_random_traces() {
         for seed in 0..2_000u64 {
-            let mut rng = SplitMix64(seed);
-            let ways = [1, 2, 4, 8][rng.range(0, 3) as usize];
-            let sets = 1 << rng.range(0, 8);
+            let mut rng = cohort_types::SplitMix64::new(seed);
+            let ways = [1, 2, 4, 8][rng.below(0, 4) as usize];
+            let sets = 1 << rng.below(0, 9);
             let geometry = CacheGeometry::new(sets * 64 * ways, 64, ways).unwrap();
             // Either a line space a few times the capacity, or one set's
             // conflict chain (every line maps to the same set).
-            let one_set = rng.range(0, 3) == 0;
-            let (set, span) = (rng.range(0, sets - 1), rng.range(1, 3 * ways + 2));
-            let theta = rng.range(2, 300);
-            let trace = (0..rng.range(0, 400))
+            let one_set = rng.below(0, 4) == 0;
+            let (set, span) = (rng.below(0, sets), rng.below(1, 3 * ways + 3));
+            let theta = rng.below(2, 301);
+            let trace = (0..rng.below(0, 401))
                 .map(|_| {
-                    let line = if rng.range(0, 50) == 0 {
+                    let line = if rng.below(0, 51) == 0 {
                         u64::MAX
                     } else if one_set {
-                        set + sets * rng.range(0, span)
+                        set + sets * rng.below(0, span + 1)
                     } else {
-                        rng.range(0, 3 * sets * ways)
+                        rng.below(0, 3 * sets * ways + 1)
                     };
                     let kind =
-                        if rng.range(0, 2) == 0 { AccessKind::Store } else { AccessKind::Load };
-                    let gap = match rng.range(0, 3) {
-                        0 => rng.range(0, 4),
-                        1 => theta.saturating_sub(rng.range(0, 8)),
-                        _ => rng.range(0, 2 * theta),
+                        if rng.below(0, 3) == 0 { AccessKind::Store } else { AccessKind::Load };
+                    let gap = match rng.below(0, 4) {
+                        0 => rng.below(0, 5),
+                        1 => theta.saturating_sub(rng.below(0, 9)),
+                        _ => rng.below(0, 2 * theta + 1),
                     };
                     TraceOp::new(LineAddr::new(line), kind, Cycles::new(gap))
                 })
                 .collect::<Trace>();
-            let timer = match rng.range(0, 5) {
+            let timer = match rng.below(0, 6) {
                 0 => TimerValue::MSI,
                 1 => timed(0),
                 2 => timed(1),
                 3 => timed(TimerValue::MAX_THETA),
                 _ => timed(theta),
             };
-            let penalty = Cycles::new(rng.range(1, 2_000));
+            let penalty = Cycles::new(rng.below(1, 2_001));
             assert_matches_oracle(seed, &trace, timer, &geometry, penalty);
         }
     }

@@ -7,7 +7,7 @@ use cohort_sim::CacheGeometry;
 use cohort_trace::{Trace, TraceOp};
 use cohort_types::{Cycles, LatencyConfig, LineAddr, TimerValue};
 
-use common::{for_each_case, timed, SplitMix64};
+use common::{for_each_case, kind, timed, SplitMix64};
 
 /// Cases per property.
 const CASES: u64 = 256;
@@ -17,8 +17,7 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
     (0..rng.below(0, 150))
         .map(|_| {
             let line = LineAddr::new(rng.below(0, 600));
-            let kind = rng.kind();
-            TraceOp::new(line, kind, Cycles::new(rng.below(0, 30)))
+            TraceOp::new(line, kind(rng), Cycles::new(rng.below(0, 30)))
         })
         .collect()
 }

@@ -12,7 +12,7 @@ use cohort_sim::{ArbiterKind, DataPath, LlcModel, SimBuilder, SimConfig};
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
 use cohort_types::{Cycles, LatencyConfig, LineAddr, TimerValue};
 
-use common::{for_each_case, timed, SplitMix64};
+use common::{for_each_case, kind, timed, SplitMix64};
 
 /// Cases per property (each simulates a 4-core workload).
 const CASES: u64 = 48;
@@ -27,7 +27,7 @@ fn random_workload(rng: &mut SplitMix64, cores: usize) -> Workload {
             let mut ops = Vec::new();
             for _ in 0..rng.below(1, 25) {
                 let line = LineAddr::new(rng.below(0, 16));
-                let (kind, extra, gap) = (rng.kind(), rng.below(1, 5), rng.below(0, 6));
+                let (kind, extra, gap) = (kind(rng), rng.below(1, 5), rng.below(0, 6));
                 ops.push(TraceOp::new(line, kind, Cycles::new(gap)));
                 for _ in 0..extra {
                     ops.push(TraceOp::new(line, AccessKind::Load, Cycles::new(1)));

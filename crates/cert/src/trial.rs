@@ -15,19 +15,8 @@ use cohort::{run_with_watchdog, ModeSwitchLut, WatchdogPolicy};
 use cohort_analysis::{is_schedulable, PeriodicTask};
 use cohort_sim::{FaultPlan, SimConfig};
 use cohort_trace::{AccessKind, Trace, TraceOp, Workload};
+pub use cohort_types::mix;
 use cohort_types::{Cycles, FingerprintBuilder, LineAddr, Result, TimerValue};
-
-/// The splitmix64 finalizer used across the workspace for seeded streams
-/// (the same discipline as `FaultPlan::seeded` and the GA's generation
-/// streams): statistically independent values per `(seed, stream)` pair,
-/// no ambient RNG anywhere.
-#[must_use]
-pub fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The sampling space of one fault-injection campaign family.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,12 +291,6 @@ pub struct SchedTrialOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_is_the_workspace_splitmix() {
-        assert_ne!(mix(1, 0), mix(1, 1));
-        assert_eq!(mix(42, 7), mix(42, 7));
-    }
 
     #[test]
     fn fault_trials_are_pure_functions_of_the_seed() {

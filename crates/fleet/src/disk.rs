@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use cohort_types::Error;
+use cohort_types::{mix, Error};
 
 /// The filesystem verbs the persistent mirror needs.
 ///
@@ -95,16 +95,6 @@ impl Disk for SystemDisk {
         out.sort();
         Ok(out)
     }
-}
-
-/// splitmix64's mix function — restated here because `cohort-fleet` sits
-/// below `cohort-sim` in the dependency DAG and must not depend on it for
-/// nine lines of bit mixing.
-fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a over a path's UTF-8 bytes — the per-path fault stream selector.

@@ -34,19 +34,7 @@
 //! | [`FaultKind::TimerCorruption`] | θ register | `WcmlGuard` latency bound |
 //! | [`FaultKind::CoreStall`] | core pipeline | `WcmlGuard` progress |
 
-use cohort_types::{Cycles, TimerValue};
-
-/// The splitmix64 finalizer — the same mixing (constants and xor-shift
-/// distances) as `cohort-optim`'s per-generation `stream_rng`, restated
-/// here because the simulator sits below the optimizer in the dependency
-/// DAG. Stream `k` of a seed yields the `k`-th raw draw of a plan.
-#[must_use]
-fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use cohort_types::{mix, Cycles, TimerValue};
 
 /// One injectable hardware/timing fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,16 +431,6 @@ mod tests {
             assert!(s.core < 4);
             assert!(s.at.get() >= 1 && s.at.get() <= 10_000);
         }
-    }
-
-    #[test]
-    fn mix_matches_the_ga_stream_discipline() {
-        // Fixed point of the splitmix64 finalizer documented in
-        // `cohort-optim`: identical constants and shift distances mean the
-        // same (seed, stream) pair always produces the same draw.
-        assert_eq!(mix(0, 0), 0);
-        assert_ne!(mix(1, 0), mix(1, 1));
-        assert_eq!(mix(7, 3), mix(7, 3));
     }
 
     #[test]
