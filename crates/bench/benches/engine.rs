@@ -85,7 +85,10 @@ fn ga_convergence(c: &mut Criterion) {
         let space = SearchSpace::new(vec![(0, 10_000); 4]);
         let ga = GeneticAlgorithm::new(space, GaConfig::default());
         b.iter(|| {
-            black_box(ga.run(|genes| genes.iter().map(|&g| (g as f64 - 5_000.0).powi(2)).sum()))
+            black_box(
+                ga.run(&[], &(), |genes| genes.iter().map(|&g| (g as f64 - 5_000.0).powi(2)).sum())
+                    .unwrap(),
+            )
         });
     });
 }

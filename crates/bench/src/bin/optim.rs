@@ -58,7 +58,9 @@ fn timed_run(space: &SearchSpace, config: &GaConfig, reps: usize, spins: u64) ->
     for _ in 0..reps.max(1) {
         let ga = GeneticAlgorithm::new(space.clone(), config.clone());
         let start = Instant::now();
-        let run = ga.run(|genes| busy_fitness(genes, spins));
+        let run = ga
+            .run(&[], &(), |genes| busy_fitness(genes, spins))
+            .expect("an unseeded run cannot fail");
         best = best.min(start.elapsed().as_secs_f64());
         outcome = Some(run);
     }

@@ -169,7 +169,7 @@ pub struct ModeSetup<'a> {
     spec: &'a SystemSpec,
     workload: &'a Workload,
     ga: GaConfig,
-    observer: Option<&'a dyn GaObserver>,
+    observer: &'a dyn GaObserver,
 }
 
 impl<'a> ModeSetup<'a> {
@@ -177,7 +177,7 @@ impl<'a> ModeSetup<'a> {
     /// observer.
     #[must_use]
     pub fn new(spec: &'a SystemSpec, workload: &'a Workload) -> Self {
-        ModeSetup { spec, workload, ga: GaConfig::default(), observer: None }
+        ModeSetup { spec, workload, ga: GaConfig::default(), observer: &() }
     }
 
     /// Replaces the GA engine configuration used for every mode (the seed
@@ -197,7 +197,7 @@ impl<'a> ModeSetup<'a> {
     /// granularity.
     #[must_use]
     pub fn observer(mut self, observer: &'a dyn GaObserver) -> Self {
-        self.observer = Some(observer);
+        self.observer = observer;
         self
     }
 
@@ -216,7 +216,6 @@ impl<'a> ModeSetup<'a> {
                 self.spec.cores()
             )));
         }
-        let observer = self.observer.unwrap_or(&SilentObserver);
         // Modes are configured sequentially in ascending order so each mode
         // can seed its GA with the previous mode's solution: cores that
         // stay timed in mode l+1 were timed in mode l, so the projection of
@@ -232,7 +231,7 @@ impl<'a> ModeSetup<'a> {
                 &self.ga,
                 mode,
                 entries.last(),
-                observer,
+                self.observer,
             )?;
             entries.push(entry);
         }
@@ -284,12 +283,6 @@ fn configure_one_mode(
         feasible: assignment.feasible,
     })
 }
-
-/// The do-nothing observer behind a [`ModeSetup`] with no explicit
-/// observer.
-struct SilentObserver;
-
-impl GaObserver for SilentObserver {}
 
 #[cfg(test)]
 mod tests {

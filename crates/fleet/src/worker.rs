@@ -21,8 +21,7 @@ use cohort_types::Fingerprint;
 
 use cohort::{ExperimentJob, ExperimentOutcome, Sweep};
 use cohort_optim::{
-    GaCheckpoint, GaConfig, GaObserver, GaOutcome, GaRun, GenerationReport, GeneticAlgorithm,
-    TimerProblem,
+    GaCheckpoint, GaConfig, GaObserver, GaOutcome, GaRun, GenerationReport, TimerProblem,
 };
 use cohort_types::{Cycles, Error, Result};
 
@@ -214,19 +213,15 @@ impl WorkerShard {
             key: claim,
             crash_after: self.crash_after_generations,
         };
+        let run = GaRun::new(&problem).config(ga).observer(&sink);
         let outcome = match self.store.checkpoint(claim.fingerprint) {
             Some(doc) => {
                 // A previous epoch died mid-run; resume from its snapshot
                 // (bit-identical to the uninterrupted run).
                 self.stats.resumed.fetch_add(1, Ordering::Relaxed);
-                let checkpoint = GaCheckpoint::from_json_value(&doc)?;
-                GeneticAlgorithm::new(problem.search_space(), ga.clone()).resume_observed(
-                    &checkpoint,
-                    &sink,
-                    |genes| problem.fitness(genes),
-                )?
+                run.resume(&GaCheckpoint::from_json_value(&doc)?)?
             }
-            None => GaRun::new(&problem).config(ga).observer(&sink).run(),
+            None => run.run(),
         };
         Ok(ga_payload(&problem, &outcome))
     }

@@ -261,7 +261,7 @@ impl GaCheckpoint {
 ///
 /// let ga = GeneticAlgorithm::new(SearchSpace::new(vec![(0, 999); 4]), GaConfig::default());
 /// let sink = CheckpointFile::new("out/ga-checkpoint.json", 5);
-/// let outcome = ga.run_observed(&[], &sink, |g| g.iter().sum::<u64>() as f64)?;
+/// let outcome = ga.run(&[], &sink, |g| g.iter().sum::<u64>() as f64)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -396,7 +396,7 @@ mod tests {
             SearchSpace::new(vec![(0, 500); 2]),
             GaConfig { population: 8, generations: 4, seed: 7, ..Default::default() },
         );
-        let err = ga.resume(&cp, |g| g.iter().sum::<u64>() as f64).unwrap_err();
+        let err = ga.resume(&cp, &(), |g| g.iter().sum::<u64>() as f64).unwrap_err();
         assert!(err.to_string().contains("empty population"), "{err}");
     }
 
@@ -409,15 +409,13 @@ mod tests {
         let f = |g: &[u64]| g.iter().map(|&x| (x as f64 - 250.0).abs()).sum::<f64>();
 
         let sink = CheckpointFile::new(&path, 3);
-        let full = GeneticAlgorithm::new(space.clone(), config.clone())
-            .run_observed(&[], &sink, f)
-            .unwrap();
+        let full = GeneticAlgorithm::new(space.clone(), config.clone()).run(&[], &sink, f).unwrap();
         assert!(sink.writes() >= 2, "generations 0, 3, 6 snapshot");
 
         // The last snapshot (generation 6) resumes to the same outcome.
         let cp = GaCheckpoint::load(&path).unwrap();
         assert_eq!(cp.generations_done, 7);
-        let resumed = GeneticAlgorithm::new(space, config).resume(&cp, f).unwrap();
+        let resumed = GeneticAlgorithm::new(space, config).resume(&cp, &(), f).unwrap();
         assert_eq!(resumed, full);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -20,18 +20,19 @@
 //!
 //! The crate provides a reusable, deterministic [`GeneticAlgorithm`] over
 //! bounded integer chromosomes and the CoHoRT-specific [`TimerProblem`] /
-//! [`GaRun`] driver (with the [`optimize_timers`] shorthand) on top of it. The engine breeds each generation
-//! sequentially from its seed, then scores the offspring batch across
-//! scoped worker threads — **parallel runs are bit-identical to serial
-//! runs** — with a genome-keyed fitness memo, optional early stopping
-//! (stall / target / evaluation budget), a [`GaObserver`] progress hook
-//! and JSON [`GaCheckpoint`] snapshots that [`GeneticAlgorithm::resume`]
+//! [`GaRun`] driver on top of it. The engine has two entry points,
+//! [`GeneticAlgorithm::run`] and [`GeneticAlgorithm::resume`]. It breeds
+//! each generation sequentially from its seed, then scores the offspring
+//! batch across scoped worker threads — **parallel runs are bit-identical
+//! to serial runs** — with a genome-keyed fitness memo, optional early
+//! stopping (stall / target / evaluation budget), a [`GaObserver`]
+//! progress hook and JSON [`GaCheckpoint`] snapshots that `resume`
 //! continues exactly where they left off.
 //!
 //! # Examples
 //!
 //! ```
-//! use cohort_optim::{optimize_timers, TimerProblem};
+//! use cohort_optim::{GaRun, TimerProblem};
 //! use cohort_trace::micro;
 //! use cohort_types::{Cycles, LatencyConfig};
 //!
@@ -42,7 +43,7 @@
 //!     .timed(0, Some(Cycles::new(100_000)))
 //!     .timed(1, Some(Cycles::new(100_000)))
 //!     .build()?;
-//! let assignment = optimize_timers(&problem, &Default::default())?;
+//! let assignment = GaRun::new(&problem).run_feasible()?;
 //! assert!(assignment.feasible);
 //! assert!(assignment.timers[0].is_timed());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -59,6 +60,4 @@ mod timer_problem;
 pub use checkpoint::{CheckpointFile, GaCheckpoint};
 pub use ga::{GaConfig, GaOutcome, GeneticAlgorithm, Individual, SearchSpace, StopReason};
 pub use observer::{GaObserver, GenerationReport};
-pub use timer_problem::{
-    optimize_timers, GaRun, TimerAssignment, TimerProblem, TimerProblemBuilder,
-};
+pub use timer_problem::{GaRun, TimerAssignment, TimerProblem, TimerProblemBuilder};

@@ -106,6 +106,9 @@ pub trait GaObserver: Sync {
     }
 }
 
+/// The do-nothing observer: `&()` runs a GA unobserved.
+impl GaObserver for () {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +133,7 @@ mod tests {
         let space = SearchSpace::new(vec![(0, 999); 2]);
         let config = GaConfig { population: 8, generations: 6, ..Default::default() };
         let outcome = GeneticAlgorithm::new(space, config)
-            .run_observed(&[], &recorder, |g| g.iter().sum::<u64>() as f64)
+            .run(&[], &recorder, |g| g.iter().sum::<u64>() as f64)
             .unwrap();
         let seen = recorder.0.into_inner().unwrap();
         assert_eq!(seen.len(), 6);
@@ -154,8 +157,8 @@ mod tests {
         let f = |g: &[u64]| g.iter().map(|&x| (x as f64 - 25.0).abs()).sum::<f64>();
         let (a, b) = (Snap(Mutex::new(Vec::new())), Snap(Mutex::new(Vec::new())));
         let ga = GeneticAlgorithm::new(space, config);
-        ga.run_observed(&[], &a, f).unwrap();
-        ga.run_observed(&[], &b, f).unwrap();
+        ga.run(&[], &a, f).unwrap();
+        ga.run(&[], &b, f).unwrap();
         // Memo-map iteration order is not deterministic, but checkpoints
         // sort it — identical runs must snapshot identically.
         assert_eq!(a.0.into_inner().unwrap(), b.0.into_inner().unwrap());

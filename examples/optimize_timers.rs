@@ -10,7 +10,7 @@
 //! ```
 
 use cohort_analysis::wcl_miss;
-use cohort_optim::{optimize_timers, GaConfig, TimerProblem};
+use cohort_optim::{GaConfig, GaRun, TimerProblem};
 use cohort_trace::{Kernel, KernelSpec};
 use cohort_types::{Cycles, LatencyConfig};
 
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Search space (θ_sat per timed core): {:?}", problem.theta_saturations());
 
     let ga = GaConfig { population: 24, generations: 20, ..Default::default() };
-    let assignment = optimize_timers(&problem, &ga)?;
+    let assignment = GaRun::new(&problem).config(&ga).run_feasible()?;
 
     println!("\ncore  θ        guaranteed hits  misses   WCL (Eq.1)   WCML bound");
     for (i, bound) in assignment.bounds.iter().enumerate() {

@@ -15,7 +15,7 @@
 
 use cohort::{run_experiment, Protocol, SystemSpec};
 use cohort_analysis::{is_schedulable, max_affordable_wcml, response_times, PeriodicTask};
-use cohort_optim::{optimize_timers, GaConfig, TimerProblem};
+use cohort_optim::{GaConfig, GaRun, TimerProblem};
 use cohort_trace::{Kernel, KernelSpec};
 use cohort_types::Criticality;
 
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .timed(1, Some(budgets[1]))
         .build()?;
     let ga = GaConfig { population: 24, generations: 15, ..Default::default() };
-    let assignment = optimize_timers(&problem, &ga)?;
+    let assignment = GaRun::new(&problem).config(&ga).run_feasible()?;
     println!(
         "\noptimized timers: [{}]",
         assignment.timers.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")

@@ -3,7 +3,7 @@
 //! reports infeasibility rather than silently violating a requirement.
 
 use cohort::{run_experiment, Protocol, SystemSpec};
-use cohort_optim::{optimize_timers, GaConfig, GaRun, TimerProblem};
+use cohort_optim::{GaConfig, GaRun, TimerProblem};
 use cohort_trace::{micro, Kernel, KernelSpec};
 use cohort_types::{Criticality, Cycles, Error};
 
@@ -32,7 +32,7 @@ fn optimized_timers_meet_requirements_in_simulation() {
         builder = builder.timed(i, Some(Cycles::new(bound.wcml.unwrap().get() * 23 / 20)));
     }
     let problem = builder.build().unwrap();
-    let assignment = optimize_timers(&problem, &ga()).unwrap();
+    let assignment = GaRun::new(&problem).config(&ga()).run_feasible().unwrap();
     assert!(assignment.feasible);
 
     // The real system honours the same budgets (measured ≤ bound ≤ Γ).
@@ -83,7 +83,7 @@ fn infeasible_requirements_are_detected_not_hidden() {
         .timed(1, None)
         .build()
         .unwrap();
-    match optimize_timers(&problem, &ga()) {
+    match GaRun::new(&problem).config(&ga()).run_feasible() {
         Err(Error::Infeasible(_)) => {}
         other => panic!("expected infeasibility, got {other:?}"),
     }
