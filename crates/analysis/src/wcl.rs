@@ -1,60 +1,8 @@
 //! Per-request worst-case latency bounds (Eq. 1 and the baseline bounds).
 
-use cohort_types::{Cycles, LatencyConfig, TimerValue};
+use cohort_types::{Cycles, LatencyConfig};
 
-/// The effective slot width used by all bounds: `SW = request + data`, plus
-/// the fixed main-memory latency when the LLC is non-perfect (every
-/// LLC-sourced transfer may miss and pay it). For the paper's perfect-LLC
-/// configuration this is exactly `SW`.
-fn effective_slot(latency: &LatencyConfig) -> Cycles {
-    latency.slot_width() + latency.memory
-}
-
-/// **Eq. 1** — the per-request worst-case miss latency of core `i` under
-/// CoHoRT (heterogeneous coherence, RROF arbitration):
-///
-/// ```text
-/// WCL_i = SW + (N−1)·SW + Σ_{j≠i} { θ_j + SW   if θ_j ≥ 0
-///                                  { 0          if θ_j = −1
-/// ```
-///
-/// The first term covers the first core in the broadcast order fetching the
-/// line from the shared memory; the second covers one data hand-over per
-/// interfering core; the third adds, for every *timed* interferer, its
-/// timer hold plus a slot of expiry/slot misalignment. A core's own timer
-/// never appears in its own bound (`j ≠ i`) — the modelled cache controller
-/// drops timer protection of a line the core itself is waiting on.
-///
-/// # Examples
-///
-/// ```
-/// use cohort_analysis::wcl_miss;
-/// use cohort_types::{LatencyConfig, TimerValue};
-///
-/// // All-MSI quad core: N·SW = 216.
-/// let msi = [TimerValue::MSI; 4];
-/// assert_eq!(wcl_miss(0, &msi, &LatencyConfig::paper()).get(), 216);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `core` is out of range of `timers`.
-#[must_use]
-pub fn wcl_miss(core: usize, timers: &[TimerValue], latency: &LatencyConfig) -> Cycles {
-    assert!(core < timers.len(), "core {core} out of range");
-    let sw = effective_slot(latency);
-    let n = timers.len() as u64;
-    let mut bound = sw + sw * (n - 1);
-    for (j, timer) in timers.iter().enumerate() {
-        if j == core {
-            continue;
-        }
-        if let Some(theta) = timer.theta() {
-            bound += Cycles::new(theta) + sw;
-        }
-    }
-    bound
-}
+pub use cohort_types::wcl_miss;
 
 /// Per-request worst-case latency of the **PCC** baseline: predictable
 /// snooping coherence in which every core-to-core hand-over is staged
@@ -135,7 +83,7 @@ pub fn wcl_pendulum(
     latency: &LatencyConfig,
 ) -> Cycles {
     assert!(critical_cores > 0, "PENDULUM needs at least one critical core");
-    let sw = effective_slot(latency);
+    let sw = latency.effective_slot();
     let period = sw * critical_cores as u64;
     let cr_interference = (Cycles::new(theta) + period * 2) * (critical_cores as u64 - 1);
     let ncr_interference = (Cycles::new(theta) + period) * noncritical_cores as u64;
@@ -145,6 +93,7 @@ pub fn wcl_pendulum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cohort_types::TimerValue;
 
     fn timed(theta: u64) -> TimerValue {
         TimerValue::timed(theta).unwrap()

@@ -7,10 +7,9 @@
 //!
 //! - per-core **log2-bucketed latency histograms** (p50 / p99 / max /
 //!   mean) over every completed request, hits included;
-//! - the **Eq. 1 analytical bound** per core (mirrored from
-//!   `cohort_analysis::wcl_miss`; the analysis crate sits *above* the
-//!   simulator in the dependency DAG, so the three-line formula is
-//!   restated here) and whether the observed maximum respects it;
+//! - the **Eq. 1 analytical bound** per core (`cohort_types::wcl_miss`,
+//!   the formula the analysis crate exports) and whether the observed
+//!   maximum respects it;
 //! - per-core **bus occupancy** and tenure counts, plus arbitration
 //!   grant/stall counters per arbiter slot;
 //! - per-core **timer occupancy**: how many timer-protected lines the
@@ -36,7 +35,7 @@
 
 use std::collections::BTreeSet;
 
-use cohort_types::{Cycles, LineAddr, TimerValue};
+use cohort_types::{wcl_miss, Cycles, LineAddr, TimerValue};
 
 use crate::event::EventKind;
 use crate::probe::{BusTenure, SimProbe};
@@ -379,26 +378,6 @@ impl MetricsProbe {
         Self::default()
     }
 
-    /// Mirror of `cohort_analysis::wcl_miss` (Eq. 1): the analysis crate
-    /// depends on nothing below it and the simulator must not depend *up*
-    /// on it, so the formula is restated here; a cross-crate test in the
-    /// repro package keeps the two in lock-step.
-    pub(crate) fn eq1_bound(core: usize, timers: &[TimerValue], config: &SimConfig) -> u64 {
-        let latency = config.latency();
-        let sw = latency.slot_width().get() + latency.memory.get();
-        let n = timers.len() as u64;
-        let mut bound = sw * n;
-        for (j, timer) in timers.iter().enumerate() {
-            if j == core {
-                continue;
-            }
-            if let Some(theta) = timer.theta() {
-                bound += theta + sw;
-            }
-        }
-        bound
-    }
-
     /// Whether Eq. 1 describes this configuration at all: RROF
     /// arbitration, direct cache-to-cache data, one outstanding miss per
     /// core (the assumptions of the paper's analysis).
@@ -455,7 +434,10 @@ impl SimProbe for MetricsProbe {
         self.timers = config.timers().to_vec();
         self.latency = vec![LatencyHistogram::new(); n];
         self.wcl_bounds = (0..n)
-            .map(|i| Self::analysable(config).then(|| Self::eq1_bound(i, config.timers(), config)))
+            .map(|i| {
+                Self::analysable(config)
+                    .then(|| wcl_miss(i, config.timers(), config.latency()).get())
+            })
             .collect();
         self.bus_busy_per_core = vec![0; n];
         self.tenures = vec![0; n];

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use cohort_types::{Cycles, LineAddr, TimerValue};
+use cohort_types::{wcl_miss, Cycles, LineAddr, TimerValue};
 
 use crate::event::EventKind;
 use crate::metrics::MetricsProbe;
@@ -168,7 +168,7 @@ impl WcmlGuard {
                     // not keep convicting them afterwards.
                     self.timers[core]
                         .is_timed()
-                        .then(|| MetricsProbe::eq1_bound(core, &self.timers, config))
+                        .then(|| wcl_miss(core, &self.timers, config.latency()).get())
                 })
                 .collect();
         } else {

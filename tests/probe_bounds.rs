@@ -1,8 +1,7 @@
 //! Cross-crate lock-step between the simulator's [`MetricsProbe`] and the
-//! analysis crate's Eq. 1. The probe restates the bound internally (the
-//! simulator cannot depend *up* on `cohort-analysis`), so this test is the
-//! only thing holding the two formulas together: if either side drifts,
-//! it fails loudly here.
+//! analysis crate's Eq. 1. Both compute the bound with
+//! `cohort_types::wcl_miss`; this test holds the probe to attaching it
+//! per core and to respecting it under contention.
 
 use cohort_sim::{MetricsProbe, SimBuilder, SimConfig};
 use cohort_trace::micro;
